@@ -1,22 +1,43 @@
 #include "src/hw/memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstring>
+#include <new>
 
 namespace flicker {
+
+PhysicalMemory::PhysicalMemory(size_t size_bytes) : size_(size_bytes) {
+  if (size_ == 0) {
+    return;
+  }
+  void* map = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (map == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  data_ = static_cast<uint8_t*>(map);
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  if (data_ != nullptr) {
+    munmap(data_, size_);
+  }
+}
 
 Result<Bytes> PhysicalMemory::Read(uint64_t addr, size_t len) const {
   if (!InBounds(addr, len)) {
     return InvalidArgumentError("physical read out of bounds");
   }
-  return Bytes(data_.begin() + static_cast<long>(addr), data_.begin() + static_cast<long>(addr + len));
+  return Bytes(data_ + addr, data_ + addr + len);
 }
 
 Status PhysicalMemory::Write(uint64_t addr, const Bytes& bytes) {
   if (!InBounds(addr, bytes.size())) {
     return InvalidArgumentError("physical write out of bounds");
   }
-  std::copy(bytes.begin(), bytes.end(), data_.begin() + static_cast<long>(addr));
+  std::copy(bytes.begin(), bytes.end(), data_ + addr);
   MarkWatches(addr, bytes.size());
   return Status::Ok();
 }
@@ -25,7 +46,19 @@ Status PhysicalMemory::Erase(uint64_t addr, size_t len) {
   if (!InBounds(addr, len)) {
     return InvalidArgumentError("physical erase out of bounds");
   }
-  std::memset(data_.data() + addr, 0, len);
+  // The mapping is page-aligned, so offsets align with pages. Whole pages
+  // go back to the kernel and fault in as zero pages on the next touch;
+  // only the partial pages at either edge are zeroed by hand.
+  static const uint64_t kPage = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  const uint64_t end = addr + len;
+  const uint64_t first = (addr + kPage - 1) / kPage * kPage;
+  const uint64_t last = end / kPage * kPage;
+  if (first < last && madvise(data_ + first, last - first, MADV_DONTNEED) == 0) {
+    std::fill(data_ + addr, data_ + first, 0);
+    std::fill(data_ + last, data_ + end, 0);
+  } else {
+    std::fill(data_ + addr, data_ + end, 0);
+  }
   MarkWatches(addr, len);
   return Status::Ok();
 }

@@ -16,11 +16,20 @@
 
 namespace flicker {
 
+// Simulated RAM, backed by one private anonymous mapping reserved without
+// swap. Untouched pages cost no RSS: they read back as zeros from the
+// kernel's shared zero page, and Erase hands whole pages back to the kernel
+// instead of writing zeros over them. A machine's RSS therefore tracks the
+// pages it has written (its kernel image, SLB and I/O pages), not its
+// configured memory size.
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(size_t size_bytes) : data_(size_bytes, 0) {}
+  explicit PhysicalMemory(size_t size_bytes);
+  ~PhysicalMemory();
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  size_t size() const { return data_.size(); }
+  size_t size() const { return size_; }
 
   Result<Bytes> Read(uint64_t addr, size_t len) const;
   Status Write(uint64_t addr, const Bytes& bytes);
@@ -28,7 +37,7 @@ class PhysicalMemory {
   Status Erase(uint64_t addr, size_t len);
 
   bool InBounds(uint64_t addr, size_t len) const {
-    return addr <= data_.size() && len <= data_.size() - addr;
+    return addr <= size_ && len <= size_ - addr;
   }
 
   // ---- Dirty watches ----
@@ -49,7 +58,8 @@ class PhysicalMemory {
 
   void MarkWatches(uint64_t addr, size_t len);
 
-  std::vector<uint8_t> data_;
+  uint8_t* data_ = nullptr;  // Null only for a zero-size memory.
+  size_t size_;
   std::vector<Watch> watches_;
 };
 

@@ -1,14 +1,50 @@
 #include "src/os/kernel.h"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha1.h"
 
 namespace flicker {
 
+struct KernelImage {
+  std::vector<Bytes> regions;  // One entry per measured region, in order.
+  Bytes measurement;           // SHA-1 over all of them.
+};
+
+namespace {
+
+// The image bytes are one DRBG stream from the content seed, cut region by
+// region, so they depend on the seed and the ordered region sizes but not
+// on where the regions sit. Every machine of a fleet shares one config, and
+// regenerating its image per machine used to dominate fleet setup.
+const KernelImage& GetKernelImage(uint64_t content_seed, const std::vector<size_t>& sizes) {
+  static std::mutex mutex;
+  static std::map<std::pair<uint64_t, std::vector<size_t>>, KernelImage>* cache =
+      new std::map<std::pair<uint64_t, std::vector<size_t>>, KernelImage>();
+  std::lock_guard<std::mutex> lock(mutex);
+  auto key = std::make_pair(content_seed, sizes);
+  auto it = cache->find(key);
+  if (it == cache->end()) {
+    Drbg content(content_seed);
+    KernelImage image;
+    Sha1 hash;
+    for (size_t size : sizes) {
+      image.regions.push_back(content.Generate(size));
+      hash.Update(image.regions.back());
+    }
+    image.measurement = hash.Finish();
+    it = cache->emplace(std::move(key), std::move(image)).first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
 OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
     : machine_(machine), config_(config) {
-  Drbg content(config.content_seed);
-
   regions_.push_back(KernelRegion{"text", config.text_base, config.text_size});
   regions_.push_back(
       KernelRegion{"syscall_table", config.syscall_table_base, config.syscall_table_size});
@@ -18,12 +54,20 @@ OsKernel::OsKernel(Machine* machine, const KernelConfig& config)
     module_addr += size;
   }
 
+  std::vector<size_t> sizes;
   for (const KernelRegion& region : regions_) {
-    Status st = machine_->memory()->Write(region.base, content.Generate(region.size));
-    (void)st;  // Config addresses are within the machine by construction.
+    sizes.push_back(region.size);
   }
-  pristine_measurement_ = CurrentMeasurement();
+  image_ = &GetKernelImage(config.content_seed, sizes);
+  // Config regions are disjoint and within the machine by construction, so
+  // the image's own SHA-1 is what CurrentMeasurement() reads back.
+  Status st = RestorePristine();
+  (void)st;
   machine_->bsp()->cr3 = cr3_;
+}
+
+const Bytes& OsKernel::pristine_measurement() const {
+  return image_->measurement;
 }
 
 std::vector<KernelRegion> OsKernel::MeasuredRegions() const {
@@ -107,9 +151,8 @@ Status OsKernel::PatchText(uint64_t offset, const Bytes& patch) {
 }
 
 Status OsKernel::RestorePristine() {
-  Drbg content(config_.content_seed);
-  for (const KernelRegion& region : regions_) {
-    FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(region.base, content.Generate(region.size)));
+  for (size_t i = 0; i < regions_.size(); ++i) {
+    FLICKER_RETURN_IF_ERROR(machine_->memory()->Write(regions_[i].base, image_->regions[i]));
   }
   tampered_ = false;
   return Status::Ok();

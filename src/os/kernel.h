@@ -36,6 +36,11 @@ struct KernelConfig {
   uint64_t content_seed = 0x2620;         // Deterministic kernel "build".
 };
 
+// One synthetic kernel build: the bytes of every measured region and their
+// SHA-1. Defined in kernel.cc; each distinct image is built once per process
+// and shared read-only by every OsKernel built from an equal config.
+struct KernelImage;
+
 class OsKernel {
  public:
   // Writes the synthetic kernel images into machine memory.
@@ -54,7 +59,7 @@ class OsKernel {
 
   // The measurement of the pristine kernel (known-good value an
   // administrator compares against).
-  const Bytes& pristine_measurement() const { return pristine_measurement_; }
+  const Bytes& pristine_measurement() const;
 
   // ---- Attack hooks (the adversary controls the OS) ----
 
@@ -72,7 +77,7 @@ class OsKernel {
   Machine* machine_;
   KernelConfig config_;
   std::vector<KernelRegion> regions_;
-  Bytes pristine_measurement_;
+  const KernelImage* image_;
   uint64_t cr3_ = 0x2000;  // Opaque page-table root id.
   bool tampered_ = false;
 };

@@ -184,7 +184,7 @@ Status Tpm::SelfTestFull() {
 
 Bytes Tpm::GetRandom(size_t len) {
   Charge(profile_.get_random_ms);
-  return rng_.Generate(len);
+  return rng_.Generate(std::min(len, kTpmIoBufferSize));
 }
 
 Result<Bytes> Tpm::PcrRead(int index) {

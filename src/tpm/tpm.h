@@ -90,6 +90,12 @@ constexpr uint32_t kTpmTestPassed = 0;
 constexpr uint32_t kTpmTestNoSavedState = 0x21;   // ST_STATE without SaveState
 constexpr uint32_t kTpmTestHardwareFault = 0x5A;  // injected permanent fault
 
+// The device's command/response I/O buffer, in bytes (4 KB, as in the
+// Linux TPM driver's TPM_BUFSIZE). TPM_GetRandom answers with at most this
+// many bytes: TPM v1.2 lets the device return fewer than bytesRequested, and
+// the cap keeps one hostile length field from costing gigabytes of DRBG work.
+constexpr size_t kTpmIoBufferSize = 4096;
+
 class Tpm {
  public:
   Tpm(SimClock* clock, TpmTimingProfile profile, TpmConfig config = TpmConfig());
@@ -128,7 +134,8 @@ class Tpm {
   // True while an NV/counter journal record is pending (crashed mid-write).
   bool journal_pending() const { return journal_.has_value(); }
 
-  // TPM_GetRandom. Charges get_random_ms per call.
+  // TPM_GetRandom: min(len, kTpmIoBufferSize) bytes. Charges get_random_ms
+  // per call.
   Bytes GetRandom(size_t len);
 
   // TPM_PCRRead / TPM_Extend. Extend requires a 20-byte measurement.

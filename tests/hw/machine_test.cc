@@ -3,8 +3,15 @@
 
 #include "src/hw/machine.h"
 
+#include <unistd.h>
+
+#include <fstream>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/core/flicker_platform.h"
 #include "src/crypto/sha1.h"
 #include "src/tpm/pcr_bank.h"
 
@@ -221,6 +228,115 @@ TEST(PhysicalMemoryTest, BoundsChecking) {
   EXPECT_TRUE(memory.Erase(0, 1024).ok());
   EXPECT_FALSE(memory.Erase(1024, 1).ok());
   EXPECT_EQ(memory.Read(0, 4).value(), Bytes(4, 0));
+  EXPECT_FALSE(memory.Read(0, 1025).ok());
+  EXPECT_FALSE(memory.Write(1024, Bytes(1, 1)).ok());
+  EXPECT_FALSE(memory.Erase(1, 1024).ok());
+  EXPECT_FALSE(memory.Read(~uint64_t{0}, 2).ok());  // addr + len wraps.
+}
+
+TEST(PhysicalMemoryTest, UntouchedPagesReadZero) {
+  PhysicalMemory memory(64 * 1024 * 1024);
+  EXPECT_EQ(memory.size(), 64u * 1024 * 1024);
+  EXPECT_EQ(memory.Read(0, 4096).value(), Bytes(4096, 0));
+  EXPECT_EQ(memory.Read(memory.size() - 16, 16).value(), Bytes(16, 0));
+
+  // A write straddling a page boundary reads back whole; its neighbours
+  // stay zero.
+  Bytes pattern(100);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i + 1);
+  }
+  ASSERT_TRUE(memory.Write(3 * 4096 - 50, pattern).ok());
+  EXPECT_EQ(memory.Read(3 * 4096 - 50, 100).value(), pattern);
+  EXPECT_EQ(memory.Read(3 * 4096 - 51, 1).value(), Bytes(1, 0));
+  EXPECT_EQ(memory.Read(3 * 4096 + 50, 1).value(), Bytes(1, 0));
+}
+
+TEST(PhysicalMemoryTest, EraseZeroesExactlyItsRange) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t size = 5 * page + 123;  // Ends mid-page.
+  PhysicalMemory memory(size);
+  ASSERT_TRUE(memory.Write(0, Bytes(size, 0xAB)).ok());
+  int before = memory.RegisterWatch(0, 10);
+  int left_edge = memory.RegisterWatch(page - 10, 20);
+  int inside = memory.RegisterWatch(2 * page, page);
+  int right_edge = memory.RegisterWatch(4 * page + 90, 20);
+  int after = memory.RegisterWatch(4 * page + 200, 10);
+
+  // Partial first page, three whole pages, partial last page.
+  const uint64_t lo = page - 7;
+  const uint64_t hi = 4 * page + 100;
+  ASSERT_TRUE(memory.Erase(lo, hi - lo).ok());
+  Bytes all = memory.Read(0, size).value();
+  for (size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(all[i], (i >= lo && i < hi) ? 0 : 0xAB) << "offset " << i;
+  }
+  EXPECT_FALSE(memory.IsWatchDirty(before));
+  EXPECT_TRUE(memory.IsWatchDirty(left_edge));
+  EXPECT_TRUE(memory.IsWatchDirty(inside));
+  EXPECT_TRUE(memory.IsWatchDirty(right_edge));
+  EXPECT_FALSE(memory.IsWatchDirty(after));
+
+  // Erased whole pages take writes again; an erase within one page and an
+  // erase of the whole (unaligned) memory behave the same way.
+  ASSERT_TRUE(memory.Write(2 * page, Bytes(3, 0xCD)).ok());
+  EXPECT_EQ(memory.Read(2 * page, 4).value(), (Bytes{0xCD, 0xCD, 0xCD, 0}));
+  ASSERT_TRUE(memory.Erase(2 * page + 1, 1).ok());
+  EXPECT_EQ(memory.Read(2 * page, 3).value(), (Bytes{0xCD, 0, 0xCD}));
+  ASSERT_TRUE(memory.Erase(0, size).ok());
+  EXPECT_EQ(memory.Read(0, size).value(), Bytes(size, 0));
+  EXPECT_TRUE(memory.IsWatchDirty(before));
+  EXPECT_TRUE(memory.IsWatchDirty(after));
+}
+
+// Resident set size of this process, from /proc/self/statm.
+double ResidentKib() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return static_cast<double>(resident_pages) * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+         1024.0;
+}
+
+// The machine shape of a fleet (FleetPlatformConfig in src/sim/fleet.cc).
+FlickerPlatformConfig FleetShapePlatform() {
+  FlickerPlatformConfig config;
+  config.machine.memory_bytes = 0x180000;
+  config.machine.tpm.key_bits = 512;
+  config.kernel.text_base = 0x120000;
+  config.kernel.text_size = 64 * 1024;
+  config.kernel.syscall_table_base = 0x134000;
+  config.kernel.syscall_table_size = 4096;
+  config.kernel.modules_base = 0x136000;
+  config.kernel.modules = {{"tpm_tis", 16 * 1024}};
+  return config;
+}
+
+TEST(MachineCostTest, ResidentMemoryPerMachineIsBounded) {
+  // Warm the process-wide caches (TPM keys, kernel image) first.
+  std::make_unique<FlickerPlatform>(FleetShapePlatform()).reset();
+  std::make_unique<Machine>().reset();
+
+  constexpr int kMachines = 256;
+  std::vector<std::unique_ptr<FlickerPlatform>> fleet;
+  fleet.reserve(kMachines);
+  const double fleet_before = ResidentKib();
+  for (int i = 0; i < kMachines; ++i) {
+    fleet.push_back(std::make_unique<FlickerPlatform>(FleetShapePlatform()));
+  }
+  const double per_machine = (ResidentKib() - fleet_before) / kMachines;
+  RecordProperty("kib_per_fleet_machine", std::to_string(per_machine));
+  EXPECT_LT(per_machine, 256.0) << "KiB per fleet-shape platform";
+  fleet.clear();
+
+  // A default 64 MB machine whose power is cut touches next to none of it.
+  const double machine_before = ResidentKib();
+  Machine machine;
+  machine.PowerCut();
+  const double machine_kib = ResidentKib() - machine_before;
+  RecordProperty("kib_per_64mb_machine", std::to_string(machine_kib));
+  EXPECT_LT(machine_kib, 1024.0) << "KiB for a 64 MB machine";
 }
 
 TEST(DevTest, OverlapSemantics) {

@@ -33,6 +33,61 @@ TEST_F(OsTest, KernelRegionsAndMeasurement) {
 
   EXPECT_EQ(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
   EXPECT_FALSE(kernel_.tampered());
+
+  // A second machine from the same config shares the image: same pristine
+  // value, and its own memory measures to it.
+  Machine other_machine;
+  OsKernel other(&other_machine);
+  EXPECT_EQ(other.pristine_measurement(), kernel_.pristine_measurement());
+  EXPECT_EQ(other.CurrentMeasurement(), other.pristine_measurement());
+
+  // Another content seed is another kernel build.
+  KernelConfig reseeded;
+  reseeded.content_seed = 0x2621;
+  Machine reseeded_machine;
+  OsKernel reseeded_kernel(&reseeded_machine, reseeded);
+  EXPECT_NE(reseeded_kernel.pristine_measurement(), kernel_.pristine_measurement());
+  EXPECT_EQ(reseeded_kernel.CurrentMeasurement(), reseeded_kernel.pristine_measurement());
+}
+
+// The compact kernel layout every fleet machine uses (FleetPlatformConfig in
+// src/sim/fleet.cc): 64 KiB text, a 4 KiB syscall table and one 16 KiB
+// module inside a 1.5 MB memory map.
+MachineConfig FleetShapeMachine() {
+  MachineConfig config;
+  config.memory_bytes = 0x180000;
+  return config;
+}
+
+KernelConfig FleetShapeKernel() {
+  KernelConfig config;
+  config.text_base = 0x120000;
+  config.text_size = 64 * 1024;
+  config.syscall_table_base = 0x134000;
+  config.syscall_table_size = 4096;
+  config.modules_base = 0x136000;
+  config.modules = {{"tpm_tis", 16 * 1024}};
+  return config;
+}
+
+TEST(KernelImageTest, KnownAnswers) {
+  // Pinned from the per-machine DRBG stream (seed 0x2620, one Generate per
+  // region in measurement order): any change to how the image is produced
+  // or shared must keep these bytes.
+  Machine fleet_machine(FleetShapeMachine());
+  OsKernel fleet_kernel(&fleet_machine, FleetShapeKernel());
+  EXPECT_EQ(ToHex(fleet_kernel.pristine_measurement()),
+            "3538ae54d0e8ba98026a8051137c3ec67966c126");
+  EXPECT_EQ(fleet_kernel.CurrentMeasurement(), fleet_kernel.pristine_measurement());
+  Result<Bytes> head = fleet_machine.memory()->Read(FleetShapeKernel().text_base, 32);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(ToHex(head.value()),
+            "48ff035f57876d7d6114bc0b617cc6b37ef111074c656eefd41aa7ee07c6786e");
+
+  Machine default_machine;
+  OsKernel default_kernel(&default_machine);
+  EXPECT_EQ(ToHex(default_kernel.pristine_measurement()),
+            "7e0a6cb414d12f02494565129ecfc31226731620");
 }
 
 TEST_F(OsTest, RegionSerializationRoundTrip) {
@@ -48,22 +103,41 @@ TEST_F(OsTest, RegionSerializationRoundTrip) {
 }
 
 TEST_F(OsTest, SyscallHookChangesMeasurement) {
+  Machine other_machine;
+  OsKernel other(&other_machine);
   Bytes before = kernel_.CurrentMeasurement();
   ASSERT_TRUE(kernel_.InstallSyscallHook(42).ok());
   EXPECT_TRUE(kernel_.tampered());
   EXPECT_NE(kernel_.CurrentMeasurement(), before);
+  // The hook lands in this machine's memory only, never in the shared image.
+  EXPECT_EQ(kernel_.pristine_measurement(), before);
+  EXPECT_EQ(other.CurrentMeasurement(), before);
+  EXPECT_FALSE(other.tampered());
 
   ASSERT_TRUE(kernel_.RestorePristine().ok());
   EXPECT_EQ(kernel_.CurrentMeasurement(), before);
+  EXPECT_EQ(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
   EXPECT_FALSE(kernel_.tampered());
 }
 
 TEST_F(OsTest, TextPatchChangesMeasurement) {
+  Machine other_machine;
+  OsKernel other(&other_machine);
   Bytes before = kernel_.CurrentMeasurement();
   ASSERT_TRUE(kernel_.PatchText(0x1000, BytesOf("\xcc\xcc\xcc\xcc")).ok());
   EXPECT_NE(kernel_.CurrentMeasurement(), before);
   EXPECT_FALSE(kernel_.PatchText(3 * 1024 * 1024, Bytes(4, 0)).ok());
   EXPECT_FALSE(kernel_.InstallSyscallHook(100000).ok());
+
+  // Neither an existing nor a newly built kernel sees the patch.
+  EXPECT_EQ(other.CurrentMeasurement(), before);
+  Machine fresh_machine;
+  OsKernel fresh(&fresh_machine);
+  EXPECT_EQ(fresh.pristine_measurement(), before);
+  EXPECT_EQ(fresh.CurrentMeasurement(), before);
+
+  ASSERT_TRUE(kernel_.RestorePristine().ok());
+  EXPECT_EQ(kernel_.CurrentMeasurement(), kernel_.pristine_measurement());
 }
 
 TEST_F(OsTest, SchedulerRunsTasks) {

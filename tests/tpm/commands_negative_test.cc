@@ -160,7 +160,12 @@ TEST(CommandsNegativeTest, DispatchFrameAlwaysAnswersWellFormed) {
   for (const Bytes& frame : hostile) {
     Bytes response = DispatchFrame(&tpm, frame);
     ASSERT_GE(response.size(), kFrameHeaderSize);
-    (void)ParseResponseFrame(response);  // Well-formed enough to decode.
+    // Well-formed enough to decode, and bounded: a garbled bytesRequested
+    // (byte 10 is its high byte) gets at most one I/O buffer of randomness.
+    Result<Bytes> payload = ParseResponseFrame(response);
+    if (payload.ok()) {
+      EXPECT_LE(payload.value().size(), 4 + kTpmIoBufferSize);
+    }
   }
 }
 

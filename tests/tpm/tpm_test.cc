@@ -30,6 +30,8 @@ TEST_F(TpmTest, GetRandomReturnsRequestedLengthAndAdvancesClock) {
   EXPECT_EQ(r.size(), 128u);
   EXPECT_NEAR(clock_.NowMillis() - before, 1.3, 0.01);  // Broadcom GetRandom.
   EXPECT_NE(tpm_.GetRandom(128), r);
+  // An oversized request is answered short, with one I/O buffer's worth.
+  EXPECT_EQ(tpm_.GetRandom(size_t{1} << 30).size(), kTpmIoBufferSize);
 }
 
 TEST_F(TpmTest, PcrExtendChargesPaperLatency) {

@@ -198,9 +198,10 @@ if [ "$asan" = 1 ]; then
   cmake --build "$asan_dir" -j "$jobs" --target \
     tpm_pcr_bank_test tpm_tpm_test tpm_param_test tpm_transport_test \
     tpm_commands_negative_test core_platform_test core_remote_attestation_test \
-    os_tqd_robustness_test common_serde_test
+    os_tqd_robustness_test common_serde_test hw_machine_test os_os_test \
+    tpm_lifecycle_test core_sealed_state_test core_attested_session_test
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -R \
-    '^(tpm_|core_|os_tqd_robustness_test|common_serde_test)'
+    '^(tpm_|core_|os_tqd_robustness_test|common_serde_test|hw_machine_test|os_os_test)'
 fi
 
 if [ "$faults" = 1 ]; then
