@@ -7,6 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/ssh.h"
+#include "src/net/lossy_channel.h"
 
 namespace flicker {
 namespace {
@@ -26,18 +27,27 @@ void RunProfile(const char* name, const TimingModel& timing) {
   PrivacyCa ca;
   AikCertificate cert = ca.Certify(platform.tpm()->aik_public(), "ssh-server");
   SshClient client(&binary, ca.public_key(), cert);
-  Channel channel(platform.clock());
+  LossyChannel channel(platform.clock());
+  // One message across the wire; the receiving side acts on what arrived.
+  auto carry = [&channel](NetEndpoint from, const Bytes& message) {
+    channel.Send(from, message);
+    Bytes arrived;
+    channel.Receive(from == NetEndpoint::kClient ? NetEndpoint::kServer : NetEndpoint::kClient,
+                    &arrived);
+    return arrived;
+  };
 
   // ---- PAL 1 (setup) + attestation: the password-prompt latency ----
   double prompt_t0 = platform.clock()->NowMillis();
   Bytes setup_nonce = client.MakeNonce();
-  channel.Deliver();  // Challenge to the server.
-  Result<SshServer::SetupResult> setup = server.Setup(setup_nonce);
+  Result<SshServer::SetupResult> setup =
+      server.Setup(carry(NetEndpoint::kClient, setup_nonce));  // Challenge to the server.
   if (!setup.ok()) {
     std::printf("setup failed: %s\n", setup.status().ToString().c_str());
     return;
   }
-  channel.Deliver();  // Key + attestation back.
+  // Key + attestation back.
+  setup.value().public_key = carry(NetEndpoint::kServer, setup.value().public_key);
   if (!client.VerifyServerSetup(setup.value(), setup_nonce).ok()) {
     std::printf("client rejected setup attestation\n");
     return;
@@ -46,15 +56,15 @@ void RunProfile(const char* name, const TimingModel& timing) {
 
   // ---- PAL 2 (login): the post-password latency ----
   Bytes login_nonce = client.MakeNonce();
-  channel.Deliver();  // Server nonce to the client.
-  Result<Bytes> ciphertext = client.EncryptPassword("correct horse", login_nonce);
+  // Server nonce to the client.
+  Result<Bytes> ciphertext =
+      client.EncryptPassword("correct horse", carry(NetEndpoint::kServer, login_nonce));
   if (!ciphertext.ok()) {
     return;
   }
-  channel.Deliver();  // Ciphertext to the server.
+  Bytes request = carry(NetEndpoint::kClient, ciphertext.value());  // Ciphertext to the server.
   double login_t0 = platform.clock()->NowMillis();
-  Result<SshServer::LoginResult> login =
-      server.HandleLogin("alice", ciphertext.value(), login_nonce);
+  Result<SshServer::LoginResult> login = server.HandleLogin("alice", request, login_nonce);
   double login_latency = platform.clock()->NowMillis() - login_t0;
   if (!login.ok() || !login.value().authenticated) {
     std::printf("login failed\n");

@@ -33,15 +33,10 @@
 #include "src/apps/hello.h"
 #include "src/core/flicker_platform.h"
 #include "src/hv/hv_campaign.h"
+#include "src/sim/report.h"
 
 namespace flicker {
 namespace {
-
-std::string F3(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  return buf;
-}
 
 struct ModeComparison {
   int sessions = 0;
@@ -158,9 +153,9 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
               static_cast<unsigned long long>(stats.dma_blocked),
               static_cast<unsigned long long>(stats.npt_blocked), stats.os_pause_ms_total,
               stats.classic_equiv_pause_ms_total, stats.PauseReduction());
-  std::printf("  engine: %llu events, max heap %zu, order digest 0x%016llx\n",
+  std::printf("  engine: %llu events, max heap %zu, order digest %s\n",
               static_cast<unsigned long long>(stats.events_processed), stats.max_heap,
-              static_cast<unsigned long long>(stats.order_digest));
+              sim::HexDigest(stats.order_digest).c_str());
 
   bool violated = false;
   if (!cmp.parity_ok) {
@@ -191,12 +186,12 @@ int RunBench(int sessions, const hv::HvCampaignConfig& config, const std::string
     }
     std::string json = "{\n";
     json += "  \"comparison\": {\"sessions_per_mode\": " + std::to_string(cmp.sessions);
-    json += ", \"classic_pause_ms\": " + F3(cmp.classic_pause_ms_mean);
-    json += ", \"concurrent_pause_ms\": " + F3(cmp.concurrent_pause_ms_mean);
-    json += ", \"classic_total_ms\": " + F3(cmp.classic_total_ms_mean);
-    json += ", \"concurrent_total_ms\": " + F3(cmp.concurrent_total_ms_mean);
-    json += ", \"hv_launch_pause_ms\": " + F3(cmp.hv_launch_pause_ms);
-    json += ", \"pause_reduction\": " + F3(cmp.PauseReduction());
+    json += ", \"classic_pause_ms\": " + sim::F3(cmp.classic_pause_ms_mean);
+    json += ", \"concurrent_pause_ms\": " + sim::F3(cmp.concurrent_pause_ms_mean);
+    json += ", \"classic_total_ms\": " + sim::F3(cmp.classic_total_ms_mean);
+    json += ", \"concurrent_total_ms\": " + sim::F3(cmp.concurrent_total_ms_mean);
+    json += ", \"hv_launch_pause_ms\": " + sim::F3(cmp.hv_launch_pause_ms);
+    json += ", \"pause_reduction\": " + sim::F3(cmp.PauseReduction());
     json += std::string(", \"parity\": ") + (cmp.parity_ok ? "true" : "false") + "},\n";
     json += "  \"adversarial_campaign\": ";
     json += stats.ToJson(config);

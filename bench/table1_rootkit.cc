@@ -20,7 +20,7 @@ void RunProfile(const char* profile_name, const TimingModel& timing) {
   AikCertificate cert = ca.Certify(platform.tpm()->aik_public(), "remote-host");
   RootkitMonitor monitor(&binary, platform.kernel()->pristine_measurement(), ca.public_key(),
                          cert);
-  Channel channel(platform.clock());
+  LossyChannel channel(platform.clock());
 
   // Warm-up query, then the measured one (25 paper trials; deterministic sim
   // needs one).

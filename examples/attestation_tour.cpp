@@ -12,6 +12,7 @@
 #include "src/attest/ima.h"
 #include "src/core/remote_attestation.h"
 #include "src/crypto/sha1.h"
+#include "src/net/lossy_channel.h"
 
 using namespace flicker;  // NOLINT: example brevity.
 
@@ -24,17 +25,20 @@ int main() {
   PalBinary binary = BuildPal(std::make_shared<HelloWorldPal>()).value();
   AttestationService host(&platform, cert);
   AttestationVerifier verifier(&binary, ca.public_key());
-  Channel network(platform.clock());
+  LossyChannel network(platform.clock());
 
-  Bytes challenge = verifier.MakeChallenge();
-  network.Deliver();
+  network.Send(NetEndpoint::kClient, verifier.MakeChallenge());
+  Bytes challenge;
+  network.Receive(NetEndpoint::kServer, &challenge);
   Result<Bytes> reply = host.HandleChallenge(challenge, binary, BytesOf("demo input"));
   if (!reply.ok()) {
     std::printf("host failed: %s\n", reply.status().ToString().c_str());
     return 1;
   }
-  network.Deliver();
-  AttestationVerifier::Outcome outcome = verifier.CheckReply(reply.value());
+  network.Send(NetEndpoint::kServer, reply.value());
+  Bytes arrived;
+  network.Receive(NetEndpoint::kClient, &arrived);
+  AttestationVerifier::Outcome outcome = verifier.CheckReply(arrived);
   std::printf("Flicker attestation: %s\n", outcome.status.ToString().c_str());
   std::printf("  session facts now trustworthy: PAL '%s' on %zu input bytes produced \"%s\"\n",
               outcome.log.pal_name.c_str(), outcome.log.inputs.size(),

@@ -38,18 +38,21 @@ RootkitMonitor::RootkitMonitor(const PalBinary* binary, Bytes known_good_measure
       host_aik_cert_(std::move(host_aik_cert)),
       nonce_rng_(nonce_seed) {}
 
-RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform, Channel* channel) {
+RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform,
+                                                  LossyChannel* channel) {
   QueryReport report;
   SimStopwatch total(platform->clock());
 
   // Challenge: nonce travels to the host.
   Bytes nonce = nonce_rng_.Generate(kPcrSize);
   Bytes inputs = platform->kernel()->SerializeRegions();
-  channel->Deliver();
+  channel->Send(NetEndpoint::kClient, nonce);
+  Bytes challenge;
+  channel->Receive(NetEndpoint::kServer, &challenge);
 
   // Host: run the detector PAL under Flicker.
   SlbCoreOptions options;
-  options.nonce = nonce;
+  options.nonce = challenge;
   Result<FlickerSessionResult> session = platform->ExecuteSession(*binary_, inputs, options);
   if (!session.ok()) {
     report.status = session.status();
@@ -62,22 +65,25 @@ RootkitMonitor::QueryReport RootkitMonitor::Query(FlickerPlatform* platform, Cha
   // Host: quote daemon signs the PCR state.
   SimStopwatch quote_watch(platform->clock());
   Result<AttestationResponse> response =
-      platform->tqd()->HandleChallenge(nonce, PcrSelection({kSkinitPcr}));
+      platform->tqd()->HandleChallenge(challenge, PcrSelection({kSkinitPcr}));
   report.quote_ms = quote_watch.ElapsedMillis();
   if (!response.ok()) {
     report.status = response.status();
     return report;
   }
 
-  // Response travels back; administrator verifies.
-  channel->Deliver();
+  // Response travels back (the quote signature crosses the wire);
+  // administrator verifies what arrived.
+  AttestationResponse reply = response.take();
+  channel->Send(NetEndpoint::kServer, reply.quote.signature);
+  channel->Receive(NetEndpoint::kClient, &reply.quote.signature);
   SessionExpectation expectation;
   expectation.binary = binary_;
   expectation.inputs = inputs;
   expectation.outputs = report.reported_measurement;
   expectation.nonce = nonce;
   expectation.pal_extends = {report.reported_measurement};
-  report.status = VerifyAttestation(expectation, response.value(), host_aik_cert_,
+  report.status = VerifyAttestation(expectation, reply, host_aik_cert_,
                                     privacy_ca_public_, nonce);
   report.kernel_clean = report.status.ok() &&
                         ConstantTimeEquals(report.reported_measurement, known_good_);

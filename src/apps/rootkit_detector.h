@@ -13,7 +13,7 @@
 #include "src/attest/privacy_ca.h"
 #include "src/attest/verifier.h"
 #include "src/core/flicker_platform.h"
-#include "src/net/channel.h"
+#include "src/net/lossy_channel.h"
 #include "src/slb/pal.h"
 
 namespace flicker {
@@ -54,8 +54,9 @@ class RootkitMonitor {
                  const RsaPublicKey& privacy_ca_public, AikCertificate host_aik_cert,
                  uint64_t nonce_seed = 0xad317);
 
-  // Runs one detection query against `platform` over `channel`.
-  QueryReport Query(FlickerPlatform* platform, Channel* channel);
+  // Runs one detection query against `platform` over `channel`: the nonce
+  // crosses client -> server, the quote signature server -> client.
+  QueryReport Query(FlickerPlatform* platform, LossyChannel* channel);
 
  private:
   const PalBinary* binary_;

@@ -19,7 +19,6 @@
 #include "src/attest/verifier.h"
 #include "src/core/flicker_platform.h"
 #include "src/core/secure_channel.h"
-#include "src/net/channel.h"
 #include "src/slb/pal.h"
 
 namespace flicker {

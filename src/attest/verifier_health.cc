@@ -121,7 +121,10 @@ double VerifierHealthTracker::HedgeDelayMs() const {
   }
   std::vector<double> sorted(latency_ring_.begin(), latency_ring_.begin() + count);
   std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank p95, matching FleetStats::LatencyPercentileMs.
+  // Nearest-rank p95 by the 1-based rank round(0.95 n). This is not the
+  // campaigns' round(p (n - 1)) rule (sim/report.h): it picks one rank lower
+  // when the window holds 11, 31, 51, 71, 91 or 111 samples. It stays as is
+  // because hedge delays drive the hedged fleet results.
   size_t rank = static_cast<size_t>(0.95 * static_cast<double>(count) + 0.5);
   rank = std::min(std::max<size_t>(rank, 1), count);
   double p95 = sorted[rank - 1];

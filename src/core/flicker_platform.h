@@ -49,6 +49,13 @@ struct FlickerPlatformConfig {
   hv::HvConfig hv;
 };
 
+// The compact machine image the simulated campaigns (fleet, hv, vTPM) build
+// by the thousand: the default 64 MB MachineConfig is infeasible a thousand
+// times over, so the kernel is relocated just above the 64 KB SLB region at
+// kSlbFixedBase (1 MB) - text at 1.125 MB, a one-module set, everything
+// inside 1.5 MB. Callers set their own TPM key size, mode and PAL slots.
+FlickerPlatformConfig CompactPlatformConfig();
+
 // Everything a completed session yields, including the timing breakdown the
 // evaluation tables report.
 struct FlickerSessionResult {

@@ -18,8 +18,7 @@ uint64_t SplitMix64(uint64_t x) {
 }
 
 // The exact rounding SimClock::AdvanceMillis applies (µs grain widened to
-// ns), so a fault-free LossyChannel charges byte-identical latencies to the
-// Channel it replaces.
+// ns), so wire latencies land on the same grain as every other charge.
 uint64_t NsOfMs(double ms) {
   return ms > 0 ? static_cast<uint64_t>(ms * 1000.0 + 0.5) * 1000 : 0;
 }
@@ -90,9 +89,8 @@ NetFault NetFaultSchedule::Classify(uint64_t msg_index) const {
 }
 
 double LossyChannel::SampleOneWayMs() {
-  // Same triangular jitter as Channel::SampleOneWayMs, so a fault-free
-  // LossyChannel charges byte-identical latencies to the same-seeded
-  // Channel it replaces.
+  // Triangular-ish jitter around the average: avg + U[-1,1] * spread, where
+  // spread keeps samples within [min, max].
   double spread_low = (profile_.avg_rtt_ms - profile_.min_rtt_ms) / 2.0;
   double spread_high = (profile_.max_rtt_ms - profile_.avg_rtt_ms) / 2.0;
   uint64_t draw = jitter_.UniformUint64(1000);

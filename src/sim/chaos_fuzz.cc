@@ -1,7 +1,6 @@
 #include "src/sim/chaos_fuzz.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -10,17 +9,12 @@
 #include "src/common/fault.h"
 #include "src/crypto/drbg.h"
 #include "src/obs/metrics.h"
+#include "src/sim/report.h"
 
 namespace flicker {
 namespace sim {
 
 namespace {
-
-std::string F3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return std::string(buf);
-}
 
 const char* TpmFaultKindName(FaultPlan::Kind kind) {
   switch (kind) {
@@ -563,11 +557,8 @@ std::string ChaosFailureArtifact(const FleetConfig& base, const ChaosPlan& plan,
   for (const ChaosEvent& event : plan.events) {
     os << "  " << EventLine(event) << "\n";
   }
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "0x%016llx",
-                static_cast<unsigned long long>(outcome.stats.order_digest));
-  os << "order_digest: " << digest << " (" << outcome.stats.events_processed
-     << " events processed)\n";
+  os << "order_digest: " << HexDigest(outcome.stats.order_digest) << " ("
+     << outcome.stats.events_processed << " events processed)\n";
   os << "oracles: accepted_wrong=" << outcome.stats.accepted_wrong
      << " torn_states=" << outcome.stats.torn_states
      << " machines_dead=" << outcome.stats.machines_dead

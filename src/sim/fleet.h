@@ -238,12 +238,6 @@ struct FleetStats {
   std::string ToJson(const FleetConfig& config) const;
 };
 
-// Jain's fairness index over per-actor allocations (throughput, quotes, ...):
-// (sum x)^2 / (n * sum x^2). 1.0 = perfectly fair, 1/n = one actor gets
-// everything; 1.0 by convention for empty/all-zero inputs. The vTPM
-// noisy-neighbor campaign reports it over healthy tenants' completed quotes.
-double JainFairnessIndex(const std::vector<double>& allocations);
-
 class Fleet {
  public:
   explicit Fleet(const FleetConfig& config);

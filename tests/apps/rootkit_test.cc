@@ -23,7 +23,7 @@ class RootkitTest : public ::testing::Test {
   PrivacyCa ca_;
   AikCertificate cert_;
   RootkitMonitor monitor_;
-  Channel channel_;
+  LossyChannel channel_;
 };
 
 TEST_F(RootkitTest, CleanKernelPasses) {

@@ -1,5 +1,5 @@
 // The wire-level challenge/response protocol: serialization, end-to-end
-// verification over a Channel, and wire-tampering attacks.
+// verification over a LossyChannel, and wire-tampering attacks.
 
 #include "src/core/remote_attestation.h"
 
@@ -11,6 +11,7 @@
 
 #include "src/apps/hello.h"
 #include "src/crypto/sha1.h"
+#include "src/net/lossy_channel.h"
 
 namespace flicker {
 namespace {
@@ -30,17 +31,20 @@ class RemoteAttestationTest : public ::testing::Test {
   AikCertificate cert_;
   AttestationService service_;
   AttestationVerifier verifier_;
-  Channel channel_;
+  LossyChannel channel_;
 };
 
 TEST_F(RemoteAttestationTest, EndToEndOverTheWire) {
-  Bytes challenge = verifier_.MakeChallenge();
-  channel_.Deliver();
+  channel_.Send(NetEndpoint::kClient, verifier_.MakeChallenge());
+  Bytes challenge;
+  ASSERT_TRUE(channel_.Receive(NetEndpoint::kServer, &challenge));
   Result<Bytes> reply = service_.HandleChallenge(challenge, binary_, BytesOf("input"));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  channel_.Deliver();
+  channel_.Send(NetEndpoint::kServer, reply.value());
+  Bytes arrived;
+  ASSERT_TRUE(channel_.Receive(NetEndpoint::kClient, &arrived));
 
-  AttestationVerifier::Outcome outcome = verifier_.CheckReply(reply.value());
+  AttestationVerifier::Outcome outcome = verifier_.CheckReply(arrived);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.log.outputs, BytesOf("Hello, world"));
   EXPECT_EQ(outcome.log.inputs, BytesOf("input"));

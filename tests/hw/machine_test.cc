@@ -299,17 +299,10 @@ double ResidentKib() {
          1024.0;
 }
 
-// The machine shape of a fleet (FleetPlatformConfig in src/sim/fleet.cc).
+// The machine shape of a fleet: the compact image with 512-bit TPM keys.
 FlickerPlatformConfig FleetShapePlatform() {
-  FlickerPlatformConfig config;
-  config.machine.memory_bytes = 0x180000;
+  FlickerPlatformConfig config = CompactPlatformConfig();
   config.machine.tpm.key_bits = 512;
-  config.kernel.text_base = 0x120000;
-  config.kernel.text_size = 64 * 1024;
-  config.kernel.syscall_table_base = 0x134000;
-  config.kernel.syscall_table_size = 4096;
-  config.kernel.modules_base = 0x136000;
-  config.kernel.modules = {{"tpm_tis", 16 * 1024}};
   return config;
 }
 

@@ -64,7 +64,7 @@ TEST_F(LifecycleTest, FourApplicationsShareOnePlatform) {
   PalBinary detector = BuildPal(std::make_shared<RootkitDetectorPal>()).take();
   RootkitMonitor monitor(&detector, platform_.kernel()->pristine_measurement(),
                          ca.public_key(), cert);
-  Channel channel(platform_.clock());
+  LossyChannel channel(platform_.clock());
   RootkitMonitor::QueryReport scan = monitor.Query(&platform_, &channel);
   ASSERT_TRUE(scan.status.ok());
   EXPECT_TRUE(scan.kernel_clean);

@@ -1,78 +1,76 @@
-#include "src/net/channel.h"
+// Latency of the fault-free wire: the calibrated Sec. 7.1 profile every
+// paper table and example charges through LossyChannel's default schedule.
 
 #include <gtest/gtest.h>
+
+#include "src/common/bytes.h"
+#include "src/net/lossy_channel.h"
 
 namespace flicker {
 namespace {
 
-TEST(ChannelTest, DeliveryAdvancesClock) {
-  SimClock clock;
-  Channel channel(&clock);
-  channel.Deliver();
-  EXPECT_GT(clock.NowMillis(), 0.0);
-  EXPECT_EQ(channel.messages_delivered(), 1u);
-}
-
-TEST(ChannelTest, LatencyWithinProfileBounds) {
-  SimClock clock;
-  Channel channel(&clock);
-  for (int i = 0; i < 200; ++i) {
-    double one_way = channel.SampleOneWayMs();
-    EXPECT_GE(one_way, channel.profile().min_rtt_ms / 2.0 - 1e-9);
-    EXPECT_LE(one_way, channel.profile().max_rtt_ms / 2.0 + 1e-9);
-  }
-}
-
-TEST(ChannelTest, AverageNearProfileAvg) {
-  SimClock clock;
-  Channel channel(&clock);
-  double total = 0;
-  const int kTrials = 500;
-  for (int i = 0; i < kTrials; ++i) {
-    total += channel.SampleOneWayMs();
-  }
-  double avg_rtt = 2.0 * total / kTrials;
-  EXPECT_NEAR(avg_rtt, channel.profile().avg_rtt_ms, 0.25);
-}
-
-TEST(ChannelTest, SamplingAloneIsNotADelivery) {
-  // Regression: SampleOneWayMs() used to bump messages_delivered, so code
-  // that merely inspected latencies inflated the delivery count.
-  SimClock clock;
-  Channel channel(&clock);
-  channel.SampleOneWayMs();
-  channel.SampleOneWayMs();
-  EXPECT_EQ(channel.messages_delivered(), 0u);
-  channel.Deliver();
-  EXPECT_EQ(channel.messages_delivered(), 1u);
-}
+Bytes Msg(const char* s) { return BytesOf(s); }
 
 TEST(ChannelTest, RoundTripIsTwoMessages) {
+  // A request and its reply: two deliveries, and with a 9.45 ms average RTT
+  // the pair lands within the profile's [9.33, 10.10] ms round trip.
   SimClock clock;
-  Channel channel(&clock);
-  channel.RoundTrip();
+  LossyChannel channel(&clock);
+  Bytes got;
+  channel.Send(NetEndpoint::kClient, Msg("request"));
+  ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &got));
+  channel.Send(NetEndpoint::kServer, Msg("reply"));
+  ASSERT_TRUE(channel.Receive(NetEndpoint::kClient, &got));
+  EXPECT_EQ(got, Msg("reply"));
   EXPECT_EQ(channel.messages_delivered(), 2u);
-  // A 9.45 ms avg RTT: round trip should land in [9.33, 10.10].
   EXPECT_GE(clock.NowMillis(), 9.0);
   EXPECT_LE(clock.NowMillis(), 10.2);
 }
 
-TEST(ChannelTest, CustomProfile) {
+TEST(ChannelTest, DefaultWireArrivalsKnownAnswer) {
+  // Arrival instants of the first 8 messages on a fault-free seed-17 wire,
+  // pinned from the latency-only channel this class replaced: the paper's
+  // Table 1 and Fig. 9 latencies ride exactly these values.
+  const uint64_t kArrivalNs[] = {4701000,  9397000,  14118000, 18933000,
+                                 23648000, 28362000, 33059000, 37869000};
   SimClock clock;
-  LatencyProfile lan{0.2, 0.3, 0.5, 1};
-  Channel channel(&clock, lan);
-  double one_way = channel.SampleOneWayMs();
-  EXPECT_GE(one_way, 0.1 - 1e-9);
-  EXPECT_LE(one_way, 0.25 + 1e-9);
+  LossyChannel channel(&clock, LatencyProfile(), 17);
+  for (uint64_t expected : kArrivalNs) {
+    channel.Send(NetEndpoint::kClient, Msg("x"));
+    Bytes got;
+    ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &got));
+    EXPECT_EQ(clock.NowNanos(), expected);
+  }
+  EXPECT_EQ(channel.messages_delivered(), 8u);
+  EXPECT_EQ(channel.faults_injected(), 0u);
 }
 
-TEST(ChannelTest, DeterministicGivenSeed) {
-  SimClock c1;
-  SimClock c2;
-  Channel a(&c1, LatencyProfile(), 42);
-  Channel b(&c2, LatencyProfile(), 42);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(a.SampleOneWayMs(), b.SampleOneWayMs());
+TEST(ChannelTest, LatencyStaysWithinProfile) {
+  // Every one-way latency lies in [min, max] RTT / 2 (to the clock's µs
+  // grain), the mean RTT lands near the profile's average, and a wire with
+  // the same seed replays the same stream - for the calibrated WAN profile
+  // and a custom LAN one.
+  const LatencyProfile lan{0.2, 0.3, 0.5, 1};
+  for (const LatencyProfile& profile : {LatencyProfile(), lan}) {
+    SimClock clock;
+    LossyChannel channel(&clock, profile, 42);
+    SimClock twin_clock;
+    LossyChannel twin(&twin_clock, profile, 42);
+    const int kTrials = 500;
+    Bytes got;
+    for (int i = 0; i < kTrials; ++i) {
+      const double before_ms = clock.NowMillis();
+      channel.Send(NetEndpoint::kClient, Msg("m"));
+      ASSERT_TRUE(channel.Receive(NetEndpoint::kServer, &got));
+      const double one_way_ms = clock.NowMillis() - before_ms;
+      EXPECT_GE(one_way_ms, profile.min_rtt_ms / 2.0 - 0.001);
+      EXPECT_LE(one_way_ms, profile.max_rtt_ms / 2.0 + 0.001);
+      twin.Send(NetEndpoint::kClient, Msg("m"));
+      ASSERT_TRUE(twin.Receive(NetEndpoint::kServer, &got));
+      EXPECT_EQ(twin_clock.NowNanos(), clock.NowNanos());
+    }
+    EXPECT_NEAR(2.0 * clock.NowMillis() / kTrials, profile.avg_rtt_ms,
+                (profile.max_rtt_ms - profile.min_rtt_ms) / 4.0);
   }
 }
 

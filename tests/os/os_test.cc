@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/flicker_platform.h"
 #include "src/os/devices.h"
 #include "src/os/flicker_module.h"
 #include "src/os/kernel.h"
@@ -50,36 +51,18 @@ TEST_F(OsTest, KernelRegionsAndMeasurement) {
   EXPECT_EQ(reseeded_kernel.CurrentMeasurement(), reseeded_kernel.pristine_measurement());
 }
 
-// The compact kernel layout every fleet machine uses (FleetPlatformConfig in
-// src/sim/fleet.cc): 64 KiB text, a 4 KiB syscall table and one 16 KiB
-// module inside a 1.5 MB memory map.
-MachineConfig FleetShapeMachine() {
-  MachineConfig config;
-  config.memory_bytes = 0x180000;
-  return config;
-}
-
-KernelConfig FleetShapeKernel() {
-  KernelConfig config;
-  config.text_base = 0x120000;
-  config.text_size = 64 * 1024;
-  config.syscall_table_base = 0x134000;
-  config.syscall_table_size = 4096;
-  config.modules_base = 0x136000;
-  config.modules = {{"tpm_tis", 16 * 1024}};
-  return config;
-}
-
 TEST(KernelImageTest, KnownAnswers) {
   // Pinned from the per-machine DRBG stream (seed 0x2620, one Generate per
   // region in measurement order): any change to how the image is produced
-  // or shared must keep these bytes.
-  Machine fleet_machine(FleetShapeMachine());
-  OsKernel fleet_kernel(&fleet_machine, FleetShapeKernel());
+  // or shared must keep these bytes. The first image is the compact shape
+  // the simulated campaigns build by the thousand.
+  const FlickerPlatformConfig compact = CompactPlatformConfig();
+  Machine fleet_machine(compact.machine);
+  OsKernel fleet_kernel(&fleet_machine, compact.kernel);
   EXPECT_EQ(ToHex(fleet_kernel.pristine_measurement()),
             "3538ae54d0e8ba98026a8051137c3ec67966c126");
   EXPECT_EQ(fleet_kernel.CurrentMeasurement(), fleet_kernel.pristine_measurement());
-  Result<Bytes> head = fleet_machine.memory()->Read(FleetShapeKernel().text_base, 32);
+  Result<Bytes> head = fleet_machine.memory()->Read(compact.kernel.text_base, 32);
   ASSERT_TRUE(head.ok());
   EXPECT_EQ(ToHex(head.value()),
             "48ff035f57876d7d6114bc0b617cc6b37ef111074c656eefd41aa7ee07c6786e");

@@ -60,45 +60,53 @@
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
-asan=0
-faults=0
-net=0
-obs=0
-perf=0
-fleet=0
-vtpm=0
-chaosfuzz=0
-hv=0
-if [ "${1:-}" = "--asan" ]; then
-  asan=1
-  shift
-elif [ "${1:-}" = "--faults" ]; then
-  faults=1
-  shift
-elif [ "${1:-}" = "--net" ]; then
-  net=1
-  shift
-elif [ "${1:-}" = "--obs" ]; then
-  obs=1
-  shift
-elif [ "${1:-}" = "--perf" ]; then
-  perf=1
-  shift
-elif [ "${1:-}" = "--fleet" ]; then
-  fleet=1
-  shift
-elif [ "${1:-}" = "--vtpm" ]; then
-  vtpm=1
-  shift
-elif [ "${1:-}" = "--chaos-fuzz" ]; then
-  chaosfuzz=1
-  shift
-elif [ "${1:-}" = "--hv" ]; then
-  hv=1
-  shift
-fi
+mode=
+case "${1:-}" in
+  --asan | --faults | --net | --obs | --perf | --fleet | --vtpm | --chaos-fuzz | --hv)
+    mode=${1#--}
+    shift
+    ;;
+esac
 build_dir=${1:-"$repo_root/build"}
 jobs=$(nproc 2>/dev/null || echo 4)
+asan_dir="$repo_root/build-asan"
+
+# Sanitizer campaign step: configures ./build-asan (ASan+UBSan), builds the
+# targets after the ctest selector and runs that selection under the
+# sanitizers. $1 $2 is the selector: "-L label" or "-R regex".
+asan_suite() {
+  select_flag=$1
+  select_value=$2
+  shift 2
+  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
+  cmake --build "$asan_dir" -j "$jobs" --target "$@"
+  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" "$select_flag" "$select_value"
+}
+
+# Determinism gate: runs a command twice and fails with message $1 unless
+# both runs write byte-identical output. $2 names the output (dir/name.ext;
+# the runs write dir/name_a.ext and dir/name_b.ext), $3 is the flag prefix
+# that takes the output path ("" when the output is stdout), the rest is
+# the command.
+same_twice() {
+  message=$1
+  out_a="${2%.*}_a.${2##*.}"
+  out_b="${2%.*}_b.${2##*.}"
+  path_flag=$3
+  shift 3
+  for out in "$out_a" "$out_b"; do
+    if [ -n "$path_flag" ]; then
+      "$@" "$path_flag$out" > /dev/null
+    else
+      "$@" > "$out"
+    fi
+  done
+  if ! cmp -s "$out_a" "$out_b"; then
+    echo "verify.sh: $message" >&2
+    diff -u "$out_a" "$out_b" >&2 || true
+    exit 1
+  fi
+}
 
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$jobs"
@@ -192,65 +200,49 @@ if [ -n "$uncovered" ]; then
 fi
 echo "verify.sh: crash-point coverage: all $(wc -l < "$build_dir/crash_points.expected" | tr -d ' ') sites exercised"
 
-if [ "$asan" = 1 ]; then
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
+if [ "$mode" = asan ]; then
+  asan_suite -R '^(tpm_|core_|os_tqd_robustness_test|common_serde_test|hw_machine_test|os_os_test)' \
     tpm_pcr_bank_test tpm_tpm_test tpm_param_test tpm_transport_test \
     tpm_commands_negative_test core_platform_test core_remote_attestation_test \
     os_tqd_robustness_test common_serde_test hw_machine_test os_os_test \
     tpm_lifecycle_test core_sealed_state_test core_attested_session_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -R \
-    '^(tpm_|core_|os_tqd_robustness_test|common_serde_test|hw_machine_test|os_os_test)'
 fi
 
-if [ "$faults" = 1 ]; then
+if [ "$mode" = faults ]; then
   # Power-loss fault-injection campaign: the crash matrix and the rest of the
   # `faults`-labeled suite, under ASan+UBSan so torn-state handling is also
   # memory-clean, plus the recovery-path wall-time budgets.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
-    tpm_lifecycle_test core_sealed_state_test os_tqd_breaker_test \
-    integration_crash_matrix_test vtpm_crash_matrix_test vtpm_double_fault_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L faults
+  asan_suite -L faults \
+    tpm_lifecycle_test core_sealed_state_test os_tqd_breaker_test os_tqd_batch_test \
+    integration_crash_matrix_test vtpm_crash_matrix_test vtpm_double_fault_test \
+    sim_chaos_fuzz_test
   cmake --build "$build_dir" -j "$jobs" --target micro_recovery
   "$build_dir/bench/micro_recovery" --bench_json="$repo_root/BENCH_robustness.json"
 fi
 
-if [ "$net" = 1 ]; then
+if [ "$mode" = net ]; then
   # Adversarial-network campaign: the chaos matrix and the rest of the
   # `net`-labeled suite, under ASan+UBSan so hostile-frame handling is also
   # memory-clean, plus the deterministic session-layer loss report.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
+  asan_suite -L net \
     net_channel_test net_lossy_channel_test net_session_test \
     tpm_commands_negative_test integration_net_chaos_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L net
   cmake --build "$build_dir" -j "$jobs" --target micro_net
   "$build_dir/bench/micro_net" --bench_json="$repo_root/BENCH_net.json"
 fi
 
-if [ "$obs" = 1 ]; then
+if [ "$mode" = obs ]; then
   # Observability campaign. The obs-labeled suites run under ASan+UBSan
   # (tracer/registry lifetimes must be memory-clean), two same-seed SSH
   # rounds must export byte-identical Chrome traces, the -DFLICKER_OBS=OFF
   # configuration must still build and pass its own overhead proof, and the
   # committed overhead report is refreshed.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
+  asan_suite -L obs \
     obs_metrics_test obs_trace_test obs_session_test obs_ring_epoch_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L obs
 
   cmake --build "$build_dir" -j "$jobs" --target micro_obs
-  "$build_dir/bench/micro_obs" --trace_json="$build_dir/trace_a.json" > /dev/null
-  "$build_dir/bench/micro_obs" --trace_json="$build_dir/trace_b.json" > /dev/null
-  if ! cmp -s "$build_dir/trace_a.json" "$build_dir/trace_b.json"; then
-    echo "verify.sh: same-seed trace exports differ (tracing is nondeterministic)" >&2
-    exit 1
-  fi
+  same_twice "same-seed trace exports differ (tracing is nondeterministic)" \
+    "$build_dir/trace.json" --trace_json= "$build_dir/bench/micro_obs"
   echo "verify.sh: same-seed SSH traces byte-identical"
 
   noobs_dir="$repo_root/build-noobs"
@@ -265,7 +257,7 @@ if [ "$obs" = 1 ]; then
   "$build_dir/bench/micro_obs" --bench_json="$repo_root/BENCH_obs.json"
 fi
 
-if [ "$perf" = 1 ]; then
+if [ "$mode" = perf ]; then
   # SIMD differential campaign. The multi-buffer SHA engine's scalar fallback
   # must be a drop-in replacement: the forced-scalar build re-runs the hash
   # KAT/differential battery, the Merkle and batch-quote protocol suites, and
@@ -295,30 +287,23 @@ if [ "$perf" = 1 ]; then
   echo "verify.sh: SIMD and scalar builds byte-identical on Table 1/2/4 + Fig. 9"
 fi
 
-if [ "$fleet" = 1 ]; then
+if [ "$mode" = fleet ]; then
   # Fleet simulation campaign. The engine and fleet suites run under
   # ASan+UBSan (the event heap and actor lifetimes must be memory-clean),
   # including a 1000-machine smoke run; then the release build's flagship
   # bench runs twice with the same seed and the JSON reports must be
   # byte-identical; finally a multi-seed 64-machine chaos sweep must keep
   # accepted_wrong at zero (micro_fleet exits 2 on a violation).
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
+  asan_suite -L fleet \
     sim_event_queue_test sim_executor_test sim_tqd_timer_test \
     sim_fleet_test sim_fleet_determinism_test sim_fleet_chaos_test \
-    sim_fleet_verifier_fault_test sim_chaos_fuzz_test micro_fleet
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L fleet
+    sim_fleet_verifier_fault_test sim_chaos_fuzz_test attest_verifier_health_test \
+    micro_fleet
   "$asan_dir/bench/micro_fleet" --machines=1000 --rounds=200 --verifiers=8
 
   cmake --build "$build_dir" -j "$jobs" --target micro_fleet
-  "$build_dir/bench/micro_fleet" --bench_json="$build_dir/fleet_a.json" > /dev/null
-  "$build_dir/bench/micro_fleet" --bench_json="$build_dir/fleet_b.json" > /dev/null
-  if ! cmp -s "$build_dir/fleet_a.json" "$build_dir/fleet_b.json"; then
-    echo "verify.sh: same-seed fleet runs differ (the simulation is nondeterministic)" >&2
-    diff -u "$build_dir/fleet_a.json" "$build_dir/fleet_b.json" >&2 || true
-    exit 1
-  fi
+  same_twice "same-seed fleet runs differ (the simulation is nondeterministic)" \
+    "$build_dir/fleet.json" --bench_json= "$build_dir/bench/micro_fleet"
   echo "verify.sh: same-seed 1000-machine fleet runs byte-identical"
   cp "$build_dir/fleet_a.json" "$repo_root/BENCH_fleet.json"
 
@@ -329,7 +314,7 @@ if [ "$fleet" = 1 ]; then
   echo "verify.sh: 64-machine chaos sweep clean (accepted_wrong == 0 across seeds)"
 fi
 
-if [ "$vtpm" = 1 ]; then
+if [ "$mode" = vtpm ]; then
   # vTPM multiplexer campaign. The vtpm-labeled suites run under ASan+UBSan
   # (the wire-hardening battery, the rollback-attack negative test, the
   # crash matrix and the double-fault sweep must all be memory-clean), then
@@ -337,30 +322,21 @@ if [ "$vtpm" = 1 ]; then
   # JSON reports must be byte-identical (micro_vtpm exits 2 if any quote
   # answered the wrong challenge), and the seed-1 flagship refreshes
   # BENCH_vtpm.json.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
+  asan_suite -L vtpm \
     vtpm_state_test vtpm_wire_test vtpm_manager_test vtpm_mux_test \
     vtpm_crash_matrix_test vtpm_double_fault_test vtpm_campaign_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L vtpm
 
   cmake --build "$build_dir" -j "$jobs" --target micro_vtpm
   for seed in 1 7 23; do
-    "$build_dir/bench/micro_vtpm" --seed="$seed" \
-      --bench_json="$build_dir/vtpm_${seed}_a.json" > /dev/null
-    "$build_dir/bench/micro_vtpm" --seed="$seed" \
-      --bench_json="$build_dir/vtpm_${seed}_b.json" > /dev/null
-    if ! cmp -s "$build_dir/vtpm_${seed}_a.json" "$build_dir/vtpm_${seed}_b.json"; then
-      echo "verify.sh: same-seed vtpm campaigns differ (seed $seed is nondeterministic)" >&2
-      diff -u "$build_dir/vtpm_${seed}_a.json" "$build_dir/vtpm_${seed}_b.json" >&2 || true
-      exit 1
-    fi
+    same_twice "same-seed vtpm campaigns differ (seed $seed is nondeterministic)" \
+      "$build_dir/vtpm_${seed}.json" --bench_json= \
+      "$build_dir/bench/micro_vtpm" --seed="$seed"
   done
   echo "verify.sh: multi-seed vtpm chaos double-runs byte-identical, accepted_wrong == 0"
   cp "$build_dir/vtpm_1_a.json" "$repo_root/BENCH_vtpm.json"
 fi
 
-if [ "$chaosfuzz" = 1 ]; then
+if [ "$mode" = chaos-fuzz ]; then
   # Composite chaos-fuzz campaign. The fuzzer composes every injector the
   # fleet harness owns (power cuts, partitions, wire-fault mixes, TPM
   # transport windows, verifier faults) under ASan+UBSan. A clean store must
@@ -370,10 +346,7 @@ if [ "$chaosfuzz" = 1 ]; then
   # is the shrinker's regression gate: two release re-runs must be
   # byte-identical and reproduce the recorded torn_state signature (exit 0;
   # 3 would mean signature mismatch).
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target sim_chaos_fuzz_test micro_fleet
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -R sim_chaos_fuzz_test
+  asan_suite -R sim_chaos_fuzz_test sim_chaos_fuzz_test micro_fleet
   "$asan_dir/bench/micro_fleet" --chaos-fuzz --fuzz-plans=16 > /dev/null
   echo "verify.sh: clean-store chaos-fuzz campaign found no violations"
   rc=0
@@ -387,18 +360,13 @@ if [ "$chaosfuzz" = 1 ]; then
   echo "verify.sh: chaos fuzzer found and shrank the seeded torn_state violation"
 
   cmake --build "$build_dir" -j "$jobs" --target micro_fleet
-  replay="$repo_root/tools/chaos/minimal_torn_state.replay"
-  "$build_dir/bench/micro_fleet" --replay="$replay" > "$build_dir/replay_a.txt"
-  "$build_dir/bench/micro_fleet" --replay="$replay" > "$build_dir/replay_b.txt"
-  if ! cmp -s "$build_dir/replay_a.txt" "$build_dir/replay_b.txt"; then
-    echo "verify.sh: committed chaos replay re-runs differ (nondeterministic replay)" >&2
-    diff -u "$build_dir/replay_a.txt" "$build_dir/replay_b.txt" >&2 || true
-    exit 1
-  fi
+  same_twice "committed chaos replay re-runs differ (nondeterministic replay)" \
+    "$build_dir/replay.txt" "" \
+    "$build_dir/bench/micro_fleet" --replay="$repo_root/tools/chaos/minimal_torn_state.replay"
   echo "verify.sh: committed minimal replay reproduces byte-identically"
 fi
 
-if [ "$hv" = 1 ]; then
+if [ "$mode" = hv ]; then
   # Concurrent-execution campaign. The hv-labeled suites run under
   # ASan+UBSan (the multi-core machine model, nested-page walks and VMCB
   # bookkeeping must be memory-clean): late-launch/protection units, the
@@ -408,20 +376,12 @@ if [ "$hv" = 1 ]; then
   # the JSON reports must be byte-identical (micro_hv exits 2 if any attack
   # is accepted or mistyped, or the pause-reduction floor is missed) and the
   # first run refreshes BENCH_hv.json - followed by a multi-seed quiet sweep.
-  asan_dir="$repo_root/build-asan"
-  cmake -B "$asan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Asan
-  cmake --build "$asan_dir" -j "$jobs" --target \
+  asan_suite -L hv \
     hv_hypervisor_test hv_parity_test hv_adversary_test hv_campaign_test
-  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" -L hv
 
   cmake --build "$build_dir" -j "$jobs" --target micro_hv
-  "$build_dir/bench/micro_hv" --bench_json="$build_dir/hv_a.json" > /dev/null
-  "$build_dir/bench/micro_hv" --bench_json="$build_dir/hv_b.json" > /dev/null
-  if ! cmp -s "$build_dir/hv_a.json" "$build_dir/hv_b.json"; then
-    echo "verify.sh: same-seed hv campaigns differ (the simulation is nondeterministic)" >&2
-    diff -u "$build_dir/hv_a.json" "$build_dir/hv_b.json" >&2 || true
-    exit 1
-  fi
+  same_twice "same-seed hv campaigns differ (the simulation is nondeterministic)" \
+    "$build_dir/hv.json" --bench_json= "$build_dir/bench/micro_hv"
   echo "verify.sh: same-seed hv campaign double-run byte-identical"
   cp "$build_dir/hv_a.json" "$repo_root/BENCH_hv.json"
 
