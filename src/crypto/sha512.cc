@@ -152,19 +152,20 @@ void Sha512::Update(const void* data, size_t len) {
 
 Bytes Sha512::Finish() {
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 112) {
-    Update(&zero, 1);
+  // buffer_len_ < 128 here: Update compresses every full block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
   // The 128-bit length field: the high 64 bits are zero for any input we
   // can represent.
-  uint8_t len_bytes[16] = {0};
+  std::memset(buffer_ + buffer_len_, 0, 120 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[120 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(len_bytes, 16);
+  ProcessBlock(buffer_);
 
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {

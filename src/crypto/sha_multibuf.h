@@ -1,13 +1,17 @@
 // Multi-buffer SHA-1/SHA-256: hash many independent messages at once.
 //
-// The serialized TPM Quote is the attestation pipeline's dominant cost, and
-// once batching amortizes it the next hot loop is SHA itself (BENCH_crypto:
-// sha1_64kb ~2.4k ops/s single-stream). A single SHA stream has a serial
-// dependency between blocks and cannot be vectorized, but the batch-quote
-// Merkle builder, the SLB measurement path and the verifier farm all hash
-// *sets* of independent messages - so the win comes from interleaving: lane
-// j of every vector register carries message j's state, and one AVX2
-// instruction advances 8 compressions (SSE2: 4).
+// A single SHA stream has a serial dependency between blocks, so vector
+// units cannot spread one stream across lanes. The batch-quote Merkle
+// builder, the SLB measurement path and the verifier farm hash *sets* of
+// independent messages instead, and interleave them: lane j of every vector
+// register carries message j's state, and one AVX2 instruction advances 8
+// compressions (SSE2: 4).
+//
+// For SHA-1 this pays only on hosts without the SHA extensions. Sha1 itself
+// runs a SHA-NI kernel where the CPU has one (see sha1.h), and on such a
+// host one stream (1.2-1.4 GB/s) beats 8 AVX2 lanes (1.1-1.2 GB/s), so
+// BENCH_crypto.json's sha1_multibuf_speedup reads below 1x there. SHA-256
+// has no single-stream hardware kernel here, so its lanes still win.
 //
 // Engine selection, in order:
 //   * AVX2 8-lane kernel when the host CPU has AVX2,

@@ -1,5 +1,7 @@
 #include "src/os/kernel.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -89,6 +91,7 @@ Bytes OsKernel::SerializeRegions() const {
 
 Result<std::vector<KernelRegion>> OsKernel::DeserializeRegions(const Bytes& data) {
   std::vector<KernelRegion> regions;
+  std::vector<std::pair<uint64_t, uint64_t>> spans;  // [base, end) of non-empty regions.
   size_t pos = 0;
   if (data.size() < 4) {
     return InvalidArgumentError("region list truncated");
@@ -112,7 +115,21 @@ Result<std::vector<KernelRegion>> OsKernel::DeserializeRegions(const Bytes& data
     pos += 8;
     region.size = GetUint64(data, pos);
     pos += 8;
+    if (region.size > UINT64_MAX - region.base) {
+      return InvalidArgumentError("region end overflows");
+    }
+    if (region.size > 0) {
+      spans.emplace_back(region.base, region.base + region.size);
+    }
     regions.push_back(std::move(region));
+  }
+  // Genuine lists are disjoint. Requiring that caps one query at the size of
+  // RAM; otherwise one 4 KB page could name all of RAM ~200 times.
+  std::sort(spans.begin(), spans.end());
+  for (size_t i = 1; i < spans.size(); ++i) {
+    if (spans[i].first < spans[i - 1].second) {
+      return InvalidArgumentError("regions overlap");
+    }
   }
   return regions;
 }

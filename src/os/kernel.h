@@ -50,6 +50,8 @@ class OsKernel {
   std::vector<KernelRegion> MeasuredRegions() const;
 
   // Serialized region list, the input format of the rootkit-detector PAL.
+  // Deserializing rejects (kInvalidArgument) a truncated list, a region whose
+  // end overflows, and regions that overlap one another.
   Bytes SerializeRegions() const;
   static Result<std::vector<KernelRegion>> DeserializeRegions(const Bytes& data);
 

@@ -1,11 +1,15 @@
 // The rootkit-detector application (§6.1): clean-kernel acceptance, rootkit
 // detection, and resistance to a lying OS.
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/rootkit_detector.h"
+#include "src/os/kernel.h"
 
 namespace flicker {
 namespace {
@@ -90,6 +94,60 @@ TEST(RootkitPalTest, RejectsGarbageRegionList) {
       platform.ExecuteSession(binary, BytesOf("not a region list"));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.value().ok());
+}
+
+// One hostile 4 KB inputs page naming all of RAM 200 times would have the
+// detector copy and hash ~13 GB in one query. Overlapping regions are refused
+// while the list is parsed: before any memory read (a read would fault
+// against the empty segment) and before any SHA-1 is charged to the clock.
+TEST(RootkitPalTest, RejectsOverlappingRegionsBeforeReadingMemory) {
+  Machine machine;
+  Bytes hostile;
+  PutUint32(&hostile, 200);
+  for (int i = 0; i < 200; ++i) {
+    PutUint32(&hostile, 0);  // Empty name.
+    PutUint64(&hostile, 0);
+    PutUint64(&hostile, machine.memory()->size());
+  }
+  ASSERT_LE(hostile.size(), 4096u);
+
+  SegmentState no_access;
+  no_access.base = UINT64_MAX;
+  no_access.limit = 0;
+  PalContext context(&machine, 0, hostile, /*os_protection_enabled=*/true, no_access);
+  uint64_t before_ns = machine.clock()->NowNanos();
+  RootkitDetectorPal pal;
+  Status status = pal.Execute(&context);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(context.fault_count(), 0u);
+  EXPECT_EQ(machine.clock()->NowNanos(), before_ns);
+}
+
+TEST(RootkitPalTest, RegionListBounds) {
+  auto list = [](std::vector<std::pair<uint64_t, uint64_t>> spans) {
+    Bytes out;
+    PutUint32(&out, static_cast<uint32_t>(spans.size()));
+    for (const auto& [base, size] : spans) {
+      PutUint32(&out, 0);
+      PutUint64(&out, base);
+      PutUint64(&out, size);
+    }
+    return OsKernel::DeserializeRegions(out);
+  };
+  // Disjoint (even adjacent, in any order) and empty regions are fine.
+  EXPECT_TRUE(list({{0x2000, 0x1000}, {0x1000, 0x1000}, {0x1800, 0}}).ok());
+  // Overlap with an earlier region, containment, and a wrapping end are not.
+  EXPECT_EQ(list({{0x1000, 0x1000}, {0x1fff, 0x10}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(list({{0x1000, 0x4000}, {0x2000, 0x10}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(list({{UINT64_MAX - 4, 8}}).status().code(), StatusCode::kInvalidArgument);
+  // The genuine list round-trips.
+  FlickerPlatform platform;
+  Result<std::vector<KernelRegion>> genuine =
+      OsKernel::DeserializeRegions(platform.kernel()->SerializeRegions());
+  ASSERT_TRUE(genuine.ok());
+  EXPECT_EQ(genuine.value().size(), platform.kernel()->MeasuredRegions().size());
 }
 
 TEST(RootkitPalTest, TcbIsDetectorPlusLibraries) {

@@ -1,13 +1,19 @@
 // FIPS / RFC test vectors plus incremental-update properties for the four
-// hash functions.
+// hash functions, and a differential battery pinning the single-stream SHA-1
+// kernel to the multi-buffer engine's scalar lanes.
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/crypto/drbg.h"
 #include "src/crypto/md5.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha512.h"
+#include "src/crypto/sha_multibuf.h"
 
 namespace flicker {
 namespace {
@@ -155,6 +161,106 @@ TEST(Md5Test, IncrementalMatchesOneShot) {
   h.Update(msg.data() + 63, 2);
   h.Update(msg.data() + 65, msg.size() - 65);
   EXPECT_EQ(h.Finish(), Md5::Digest(msg));
+}
+
+// Sha1 (whichever kernel the host selected) against the forced-scalar
+// multi-buffer lanes, which share no code with Sha1::ProcessBlocks: every
+// length 0..1100, from source offsets 0..7 (unaligned loads), each message
+// fed as two Updates split at 0, at len/2, and at 61 - a split that leaves
+// the buffer part-full so the second Update completes it across the block
+// boundary before handing over whole blocks.
+TEST(Sha1Test, MatchesIndependentScalarLanes) {
+  constexpr size_t kMaxLen = 1100;
+  constexpr size_t kOffsets = 8;
+  Bytes source = Drbg(uint64_t{0x5a1}).Generate(kMaxLen + kOffsets);
+  std::vector<Bytes> messages;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    for (size_t off = 0; off < kOffsets; ++off) {
+      messages.emplace_back(source.begin() + static_cast<long>(off),
+                            source.begin() + static_cast<long>(off + len));
+    }
+  }
+  bool previous = ShaMultiBufForceScalar(true);
+  std::vector<Bytes> expected = Sha1DigestMany(messages);
+  ShaMultiBufForceScalar(previous);
+
+  size_t index = 0;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    for (size_t off = 0; off < kOffsets; ++off, ++index) {
+      const uint8_t* p = source.data() + off;
+      for (size_t split : {size_t{0}, len / 2, len < 61 ? len : size_t{61}}) {
+        Sha1 h;
+        h.Update(p, split);
+        h.Update(p + split, len - split);
+        ASSERT_EQ(h.Finish(), expected[index])
+            << "len " << len << " offset " << off << " split " << split;
+      }
+    }
+  }
+}
+
+// The SHA-NI kernel runs exactly when it is compiled in and the host has it.
+TEST(Sha1Test, EngineMatchesHostAndBuild) {
+  std::string engine = Sha1Engine();
+#if defined(__x86_64__) && !defined(FLICKER_SIMD_DISABLED)
+  EXPECT_EQ(engine, __builtin_cpu_supports("sha") ? "sha-ni" : "scalar");
+#else
+  EXPECT_EQ(engine, "scalar");
+#endif
+}
+
+// Lengths that put the 0x80 pad byte and the length field on either side of
+// a block boundary, so Finish() compresses one or two padding blocks.
+// Expected digests are of `len` bytes of 'a'.
+TEST(HashTest, PaddingBoundaryVectors) {
+  struct Vector {
+    size_t len;
+    const char* hex;
+  };
+  for (const Vector& v : std::vector<Vector>{
+           {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+           {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+           {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+           {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+           {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+           {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"}}) {
+    EXPECT_EQ(ToHex(Sha1::Digest(Bytes(v.len, 'a'))), v.hex) << "sha1 len " << v.len;
+  }
+  for (const Vector& v : std::vector<Vector>{
+           {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+           {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+           {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+           {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+           {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+           {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"}}) {
+    EXPECT_EQ(ToHex(Sha256::Digest(Bytes(v.len, 'a'))), v.hex) << "sha256 len " << v.len;
+  }
+  for (const Vector& v : std::vector<Vector>{
+           {55, "ef1772b6dff9a122358552954ad0df65"},
+           {56, "3b0c8ac703f828b04c6c197006d17218"},
+           {63, "b06521f39153d618550606be297466d5"},
+           {64, "014842d480b571495a4a0363793f7367"},
+           {119, "8a7bd0732ed6a28ce75f6dabc90e1613"},
+           {120, "5f61c0ccad4cac44c75ff505e1f1e537"}}) {
+    EXPECT_EQ(ToHex(Md5::Digest(Bytes(v.len, 'a'))), v.hex) << "md5 len " << v.len;
+  }
+  for (const Vector& v : std::vector<Vector>{
+           {111, "fa9121c7b32b9e01733d034cfc78cbf67f926c7ed83e82200ef86818196921760b4beff48404df811"
+                 "b953828274461673c68d04e297b0eb7b2b4d60fc6b566a2"},
+           {112, "c01d080efd492776a1c43bd23dd99d0a2e626d481e16782e75d54c2503b5dc32bd05f0f1ba33e568b"
+                 "88fd2d970929b719ecbb152f58f130a407c8830604b70ca"},
+           {119, "130396a75cb483f2eee8c56d8a668bb3d2641f5243212c0bee2bd33da096ad9eb8179fe18f9eaacf7"
+                 "6e09fae9de4c3f14ba13341e345be05bf76c182cc3468cb"},
+           {127, "828613968b501dc00a97e08c73b118aa8876c26b8aac93df128502ab360f91bab50a51e088769a5c1"
+                 "eff4782ace147dce3642554199876374291f5d921629502"},
+           {128, "b73d1929aa615934e61a871596b3f3b33359f42b8175602e89f7e06e5f658a243667807ed300314b9"
+                 "5cacdd579f3e33abdfbe351909519a846d465c59582f321"},
+           {239, "52c853cb8d907f3d4d6b889beb027985d7c273486d75f8baf26f80d24e90c74c6c3de3e22131582380"
+                 "a7d14d43f2941a31385439cd6ddc469f628015e50bf286"},
+           {240, "4c296d90c61052a62ffb1dd196f1b7b09373b1f93e71836baebf89690546b7595684dbe9467a8e484"
+                 "fa0d1094272b4344a7c24f5fee8daedeb0bf549c985ab5f"}}) {
+    EXPECT_EQ(ToHex(Sha512::Digest(Bytes(v.len, 'a'))), v.hex) << "sha512 len " << v.len;
+  }
 }
 
 // Distinct inputs must give distinct digests (a smoke test that no internal

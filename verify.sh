@@ -21,10 +21,10 @@
 #                        compiles out, and a BENCH_obs.json refresh
 #   verify.sh --perf     additionally run the SIMD differential campaign: a
 #                        -DFLICKER_SIMD=OFF rebuild in ./build-noperf whose
-#                        hash/batch-quote suites must pass and whose paper
-#                        tables/figures (Table 1/2/4, Fig. 9) must be
-#                        byte-identical to the vectorized build's - speed is
-#                        the only thing SIMD may change
+#                        hash/HMAC/batch-quote/OS/rootkit suites must pass
+#                        and whose paper tables/figures (Table 1/2/4,
+#                        Fig. 9) must be byte-identical to the vectorized
+#                        build's - speed is the only thing SIMD may change
 #   verify.sh --fleet    additionally run the fleet simulation campaign:
 #                        fleet-labeled suites under ASan+UBSan, a
 #                        1000-machine sanitizer smoke run, a same-seed
@@ -258,20 +258,22 @@ if [ "$mode" = obs ]; then
 fi
 
 if [ "$mode" = perf ]; then
-  # SIMD differential campaign. The multi-buffer SHA engine's scalar fallback
-  # must be a drop-in replacement: the forced-scalar build re-runs the hash
-  # KAT/differential battery, the Merkle and batch-quote protocol suites, and
-  # every reproduced paper table/figure must come out byte-identical to the
-  # vectorized build's. Any digest divergence shows up as a test failure or
-  # an output diff here.
+  # SIMD differential campaign. The scalar SHA-1 compress and the multi-buffer
+  # SHA engine's scalar fallback must be drop-in replacements for the SHA-NI
+  # and vector kernels: the forced-scalar build re-runs the hash
+  # KAT/differential battery, HMAC, the Merkle and batch-quote protocol
+  # suites, the OS kernel and rootkit-detector suites, and every reproduced
+  # paper table/figure must come out byte-identical to the vectorized
+  # build's. Any digest divergence shows up as a test failure or an output
+  # diff here.
   noperf_dir="$repo_root/build-noperf"
   cmake -B "$noperf_dir" -S "$repo_root" -DFLICKER_SIMD=OFF
   cmake --build "$noperf_dir" -j "$jobs" --target \
-    crypto_hash_test crypto_sha_multibuf_test crypto_merkle_test \
-    attest_batch_quote_test os_tqd_batch_test \
+    crypto_hash_test crypto_hmac_test crypto_sha_multibuf_test crypto_merkle_test \
+    attest_batch_quote_test os_tqd_batch_test os_os_test apps_rootkit_test \
     table1_rootkit table2_skinit table4_distributed fig9_ssh
   ctest --test-dir "$noperf_dir" --output-on-failure -j "$jobs" -R \
-    '^(crypto_hash_test|crypto_sha_multibuf_test|crypto_merkle_test|attest_batch_quote_test|os_tqd_batch_test)$'
+    '^(crypto_hash_test|crypto_hmac_test|crypto_sha_multibuf_test|crypto_merkle_test|attest_batch_quote_test|os_tqd_batch_test|os_os_test|apps_rootkit_test)$'
 
   cmake --build "$build_dir" -j "$jobs" --target \
     table1_rootkit table2_skinit table4_distributed fig9_ssh
